@@ -6,11 +6,19 @@ set, defines an initial state vector, and evaluates the delayed
 right-hand side given a :class:`~repro.core.fluid.history.UniformHistory`
 of past states.  The integrator in :mod:`repro.core.fluid.dde` drives
 any such model and returns a :class:`FluidTrace`.
+
+A model may stack several independent systems -- *cells* -- in one
+state vector, so that one integration advances a whole parameter grid
+(see :meth:`repro.core.fluid.dcqcn.DCQCNFluidModel.ensemble`).  The
+integrator only needs :attr:`FluidModel.cells`,
+:meth:`FluidModel.cell_columns` and :meth:`FluidModel.cell_model` to
+check and retry each cell on its own; :meth:`FluidModel.split_trace`
+hands each cell its own :class:`FluidTrace` back.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -25,6 +33,11 @@ class FluidModel:
     overridden to enforce physical constraints (non-negative queues and
     rates) after each step; the default is the identity.
     """
+
+    #: Independent systems stacked in the state vector; 1 for a plain
+    #: model.  Ensembles also override :meth:`cell_columns` and
+    #: :meth:`cell_model`.
+    cells = 1
 
     def initial_state(self) -> np.ndarray:
         """State vector at t=0 (also the constant pre-history)."""
@@ -47,6 +60,43 @@ class FluidModel:
         """Project the state back into its physical domain (in place ok)."""
         return state
 
+    def max_lag(self) -> Optional[float]:
+        """Longest delay (s) :meth:`derivatives` ever looks back.
+
+        A bound lets the integrator keep its history as a ring of
+        ``max_lag / dt`` rows instead of the whole horizon.  None (the
+        default) means unknown or state-dependent: keep everything.
+        """
+        return None
+
+    def cell_columns(self, cell: int) -> np.ndarray:
+        """State-vector columns holding cell ``cell``."""
+        if cell != 0:
+            raise IndexError(f"cell {cell} out of range for 1 cell")
+        return np.arange(len(self.state_labels()))
+
+    def cell_model(self, cell: int) -> "FluidModel":
+        """Cell ``cell`` as a model of its own, state in its own layout."""
+        if cell != 0:
+            raise IndexError(f"cell {cell} out of range for 1 cell")
+        return self
+
+    def split_trace(self, trace: "FluidTrace") -> "List[FluidTrace]":
+        """One trace per cell, under the cell model's own labels.
+
+        A cell the integrator re-ran alone (see
+        :attr:`FluidTrace.cell_retries`) gets that run's trace.
+        """
+        if self.cells == 1:
+            return [trace]
+        traces = []
+        for cell in range(self.cells):
+            retried = trace.cell_retries.get(cell)
+            traces.append(retried if retried is not None else FluidTrace(
+                trace.times, trace.states[:, self.cell_columns(cell)],
+                self.cell_model(cell).state_labels()))
+        return traces
+
 
 class FluidTrace:
     """Time series produced by integrating a :class:`FluidModel`.
@@ -59,6 +109,10 @@ class FluidTrace:
         2-D array, one row per sample, one column per state component.
     labels:
         Column names matching :meth:`FluidModel.state_labels`.
+    cell_retries:
+        For an ensemble: cell index -> the trace of that cell's solo
+        halved-step re-integration, for each cell that diverged.  Its
+        columns in ``states`` hold the values frozen at divergence.
     """
 
     def __init__(self, times: np.ndarray, states: np.ndarray,
@@ -79,6 +133,7 @@ class FluidTrace:
         self._index = {label: i for i, label in enumerate(self.labels)}
         if len(self._index) != len(self.labels):
             raise ValueError("state labels must be unique")
+        self.cell_retries: Dict[int, FluidTrace] = {}
 
     def __len__(self) -> int:
         return self.times.shape[0]

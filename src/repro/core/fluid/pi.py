@@ -63,8 +63,9 @@ class DCQCNPIFluidModel(DCQCNFluidModel):
     def state_labels(self) -> List[str]:
         return super().state_labels() + ["p_mark"]
 
-    def marking_probability(self, t: float,
-                            history: UniformHistory) -> float:
+    def cell_marking(self, t: float, delayed_queue: np.ndarray,
+                     history: UniformHistory) -> float:
+        """The PI marking state, delayed by ``tau*`` (the queue unused)."""
         lag = self.params.tau_star + self.feedback_jitter(t)
         delayed_p = history.component(t - lag, self.p_mark_index)
         return float(np.clip(delayed_p, self.pi.p_min, self.pi.p_max))

@@ -53,15 +53,20 @@ class ValidationRow:
 def run(flow_counts=(2, 10), capacity_gbps: float = 40.0,
         duration: float = 0.03, dt: float = 1e-6,
         seed: int = 1) -> List[ValidationRow]:
-    """Run the fluid/simulation pair for each flow count."""
-    rows = []
-    for n in flow_counts:
-        params = DCQCNParams.paper_default(capacity_gbps=capacity_gbps,
-                                           num_flows=n, tau_star_us=4.0)
-        window = duration / 3.0
+    """Run the fluid/simulation pair for each flow count.
 
-        fluid = dde.integrate(DCQCNFluidModel(params), duration, dt=dt,
-                              record_stride=10)
+    The fluid half of every flow count is one ensemble integration.
+    """
+    rows = []
+    window = duration / 3.0
+    grid = [DCQCNParams.paper_default(capacity_gbps=capacity_gbps,
+                                      num_flows=n, tau_star_us=4.0)
+            for n in flow_counts]
+    model = DCQCNFluidModel.ensemble(
+        [DCQCNFluidModel(params) for params in grid])
+    fluids = model.split_trace(dde.integrate(model, duration, dt=dt,
+                                             record_stride=10))
+    for n, params, fluid in zip(flow_counts, grid, fluids):
         fluid_rate = np.mean([fluid.tail_mean(f"rc[{i}]", window)
                               for i in range(n)])
         fluid_queue = fluid.tail_mean("q", window)

@@ -50,45 +50,56 @@ def run(delays_us: Sequence[float] = (4.0, 85.0),
     fixed-point marking probability exceeds ``pmax``, and the physical
     profile's jump-to-1 would add cliff chatter unrelated to the
     delay-driven instability this figure isolates.
+
+    The grid is one ensemble integration
+    (:meth:`~repro.core.fluid.dcqcn.DCQCNFluidModel.ensemble`): every
+    cell's trace is the one its own integration gives, for about the
+    cost of the largest cell.
     """
-    rows = []
     window = duration / 3.0
-    health_on = _health.current_session() is not None
-    for delay in delays_us:
-        for n in flow_counts:
-            params = DCQCNParams.paper_default(
+    grid = [(delay, n, DCQCNParams.paper_default(
                 capacity_gbps=capacity_gbps, num_flows=n,
-                tau_star_us=delay)
-            observer = None
-            monitor = None
-            if health_on:
-                # Stream the queue (state[0], packets) into the
-                # oscillation detector against the Thm. 1 fixed
-                # point; zero-cost otherwise (no monitor, observer
-                # stays None and the integrator skips the hook).
-                monitor = _health.HealthMonitor(
-                    [_health.QueueOscillationDetector(
-                        window=window,
-                        q_star=solve_fixed_point(
-                            params, extend_red=True).queue,
-                        check_interval=window / 2.0)],
-                    context=f"delay={delay}us,N={n}")
-                observer = monitor.observe_state(queue_index=0)
-            trace = dde.integrate(
-                DCQCNFluidModel(params, extend_red=True), duration,
-                dt=dt, record_stride=10, observer=observer)
-            if monitor is not None:
-                monitor.finalize()
-            rate_std = trace.tail_std("rc[0]", window)
-            rows.append(StabilityRow(
-                delay_us=delay,
-                num_flows=n,
-                queue_mean_kb=units.packets_to_kb(
-                    trace.tail_mean("q", window), params.mtu_bytes),
-                queue_std_kb=units.packets_to_kb(
-                    trace.tail_std("q", window), params.mtu_bytes),
-                rate_std_gbps=units.pps_to_gbps(rate_std,
-                                                params.mtu_bytes)))
+                tau_star_us=delay))
+            for delay in delays_us for n in flow_counts]
+    model = DCQCNFluidModel.ensemble(
+        [DCQCNFluidModel(params, extend_red=True)
+         for _, _, params in grid])
+    monitors = []
+    observer = None
+    if _health.current_session() is not None:
+        # Stream each cell's queue (column ``cell`` of the ensemble
+        # state, packets) into its own oscillation detector against
+        # the Thm. 1 fixed point; zero-cost otherwise (no monitors,
+        # observer stays None and the integrator skips the hook).
+        monitors = [_health.HealthMonitor(
+            [_health.QueueOscillationDetector(
+                window=window,
+                q_star=solve_fixed_point(params, extend_red=True).queue,
+                check_interval=window / 2.0)],
+            context=f"delay={delay}us,N={n}")
+            for delay, n, params in grid]
+        feeds = [monitor.observe_state(queue_index=cell)
+                 for cell, monitor in enumerate(monitors)]
+
+        def observer(t, state):
+            for feed in feeds:
+                feed(t, state)
+    trace = dde.integrate(model, duration, dt=dt, record_stride=10,
+                          observer=observer)
+    for monitor in monitors:
+        monitor.finalize()
+    rows = []
+    for (delay, n, params), cell_trace in zip(grid,
+                                              model.split_trace(trace)):
+        rate_std = cell_trace.tail_std("rc[0]", window)
+        rows.append(StabilityRow(
+            delay_us=delay,
+            num_flows=n,
+            queue_mean_kb=units.packets_to_kb(
+                cell_trace.tail_mean("q", window), params.mtu_bytes),
+            queue_std_kb=units.packets_to_kb(
+                cell_trace.tail_std("q", window), params.mtu_bytes),
+            rate_std_gbps=units.pps_to_gbps(rate_std, params.mtu_bytes)))
     return rows
 
 

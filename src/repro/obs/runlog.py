@@ -45,6 +45,8 @@ Event types:
     A component retried an operation after a recoverable failure
     (``component``, e.g. ``fluid.dde`` on a halved-step integration
     retry, plus context like the failing ``t`` and the step sizes).
+    An optional ``cell`` (a non-negative int) names the ensemble cell
+    the integrator re-ran alone.
 ``worker``
     A distributed-queue lifecycle transition (``event`` one of
     ``worker_started``, ``worker_stopped``, ``worker_seen``,
@@ -127,6 +129,11 @@ REQUIRED_FIELDS: Dict[str, frozenset] = {
     "flow": frozenset({"flow_id", "completed", "components"}),
     "abort": frozenset({"reason", "sim_time", "events_processed"}),
     "fuzz": frozenset({"event"}),
+}
+
+#: Optional payload fields per event type, type-checked when present.
+OPTIONAL_FIELDS: Dict[str, Dict[str, type]] = {
+    "retry": {"cell": int},
 }
 
 #: Envelope fields every event must carry.
@@ -374,6 +381,12 @@ def validate_events(events: Iterable[dict]) -> List[str]:
         if missing:
             errors.append(f"{where}: {event_type} missing fields "
                           f"{sorted(missing)}")
+        for name, kind in OPTIONAL_FIELDS.get(event_type, {}).items():
+            value = event.get(name)
+            if name in event and (type(value) is not kind
+                                  or (kind is int and value < 0)):
+                errors.append(f"{where}: {event_type} field {name}="
+                              f"{value!r} is not a valid {kind.__name__}")
     if events[0].get("type") != "run_start":
         errors.append("first event must be run_start, got "
                       f"{events[0].get('type')!r}")

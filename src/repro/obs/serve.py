@@ -97,7 +97,12 @@ class FleetAggregator:
         Convenience: a directory that is a queue dir (has a
         ``workers/`` subdirectory), a telemetry dir (holds ``.jsonl``
         run logs), or both at once.  ``queue_dir``/``telemetry_dir``
-        override the auto-detection when the two live apart.
+        override the auto-detection when the two live apart.  The
+        queue is detected on every request, so a server started on a
+        directory before the first worker registers picks the fleet
+        up as soon as it appears; each change of the detected mode is
+        a ``note`` run-log event and bumps
+        ``obs.serve.mode_detected_total``.
     worker_ttl:
         Seconds before a worker registration stops counting as live.
     """
@@ -111,9 +116,11 @@ class FleetAggregator:
             raise ValueError("FleetAggregator needs a root, "
                              "queue_dir or telemetry_dir")
         root = Path(root) if root is not None else None
-        self.queue_dir = Path(queue_dir) if queue_dir is not None \
-            else root if root is not None \
-            and (root / "workers").is_dir() else None
+        self._root = root
+        self._explicit_queue = Path(queue_dir) if queue_dir is not None \
+            else None
+        self._detected_queue: Optional[bool] = None
+        self._mode_lock = threading.Lock()
         if telemetry_dir is not None:
             self.telemetry_dir: Optional[Path] = Path(telemetry_dir)
         else:
@@ -123,6 +130,35 @@ class FleetAggregator:
         self._tailers: Dict[Path, RunLogTailer] = {}
         self._shard_experiment: Dict[Path, str] = {}
         self._events: List[dict] = []
+
+    @property
+    def queue_dir(self) -> Optional[Path]:
+        """The queue dir: explicit, else ``root`` once it has ``workers/``."""
+        if self._explicit_queue is not None or self._root is None:
+            return self._explicit_queue
+        detected = (self._root / "workers").is_dir()
+        with self._mode_lock:
+            changed = detected != self._detected_queue
+            self._detected_queue = detected
+        if changed:
+            self._announce_mode(detected)
+        return self._root if detected else None
+
+    def _announce_mode(self, queue: bool) -> None:
+        from repro.obs import telemetry as _telemetry
+
+        mode = "queue" if queue else "telemetry"
+        _metrics.get_registry().counter(
+            "obs.serve.mode_detected_total").inc()
+        bundle = _telemetry.current()
+        if bundle is None:
+            return
+        try:
+            bundle.run_log.note(
+                f"fleet: {self._root} read as a {mode} dir",
+                component="obs.serve", mode=mode, root=str(self._root))
+        except ValueError:
+            pass  # run log already finished/closed
 
     # -- worker registrations ---------------------------------------------
 

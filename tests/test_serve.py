@@ -26,6 +26,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import (SamplingProfiler, classify_frame,
                                profiled, publish_engine_rates)
 from repro.obs.report import render_fleet
+from repro.obs.runlog import read_events
 from repro.obs.serve import FleetAggregator, ObservabilityServer
 from repro.obs.spans import (append_trace_record, build_fleet_tree,
                              new_trace_id, read_trace_records,
@@ -130,6 +131,26 @@ class TestFleetAggregator:
         bare = tmp_path / "bare"
         bare.mkdir()
         assert FleetAggregator(bare).queue_dir is None
+
+    def test_mode_change_is_a_run_log_event(self, tmp_path):
+        """Detection runs per request, and each change of the
+        detected mode is a note event plus a counter tick."""
+        queue = tmp_path / "q"
+        queue.mkdir()
+        telemetry = Telemetry(tmp_path / "obs", experiment="serve")
+        with telemetry.activate(params={}):
+            aggregator = FleetAggregator(queue)
+            assert aggregator.queue_dir is None
+            register_worker(queue, "w1")
+            assert aggregator.queue_dir == queue
+            assert aggregator.queue_dir == queue  # unchanged: silent
+            detections = telemetry.registry.counter(
+                "obs.serve.mode_detected_total").value
+        assert detections == 2
+        notes = [event for event in read_events(telemetry.runlog_path)
+                 if event["type"] == "note"
+                 and event.get("component") == "obs.serve"]
+        assert [note["mode"] for note in notes] == ["telemetry", "queue"]
 
     def test_merged_counter_sums_and_labels(self, tmp_path):
         register_worker(tmp_path, "w1", completed=2)
@@ -328,6 +349,24 @@ class TestLiveFleetScrape:
             server.close()
             for worker, thread in workers:
                 stop_worker(worker, thread)
+
+    def test_server_started_before_any_worker_finds_them(self,
+                                                          tmp_path):
+        """A server started on an empty directory serves the fleet
+        once the first worker registers (no restart needed)."""
+        server = ObservabilityServer(tmp_path).start()
+        try:
+            _, body = http_get(server.url + "/fleet")
+            assert json.loads(body)["queue_dir"] is None
+            register_worker(tmp_path, "late", completed=4)
+            _, text = http_get(server.url + "/metrics")
+            assert "perf_worker_cells_completed 4.0" in text.splitlines()
+            _, body = http_get(server.url + "/fleet")
+            fleet = json.loads(body)
+            assert fleet["queue_dir"] == str(tmp_path)
+            assert fleet["workers_live"] == 1
+        finally:
+            server.close()
 
     def test_counter_merge_is_monotone(self, tmp_path):
         """Re-registering with higher counts only grows the sum --
